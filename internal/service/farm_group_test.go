@@ -24,7 +24,7 @@ func groupFarm(t *testing.T, ctl *Service, fo FarmOptions) (*FarmReport, error) 
 	if fo.AttemptTimeout == 0 {
 		fo.AttemptTimeout = 10 * time.Second
 	}
-	return ctl.FarmChunks(context.Background(), chaosChunks(chaosSeed, 2, 3), fo)
+	return farmWithDeadline(t, context.Background(), ctl, chaosChunks(chaosSeed, 2, 3), fo)
 }
 
 // TestGroupFarmRestrictsDespatch: a group-committed farm routes every

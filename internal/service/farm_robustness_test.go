@@ -225,7 +225,7 @@ func TestFarmContextCancelMidChunk(t *testing.T) {
 	const perChunk = 3
 	chunks := chaosChunks(chaosSeed, 3, perChunk)
 	start := time.Now()
-	rep, err := ctl.FarmChunks(ctx, chunks, FarmOptions{
+	rep, err := farmWithDeadline(t, ctx, ctl, chunks, FarmOptions{
 		Body:  func() *taskgraph.Graph { return accumBody(t) },
 		Peers: peers,
 		AfterChunk: func(c int) {
@@ -355,7 +355,7 @@ func TestQuorumInsufficientAgreement(t *testing.T) {
 	ctl := newService(t, tr.Peer("qi-ctl"), "qi-ctl", Options{Resilience: chaosResilience()})
 	w := newService(t, tr.Peer("qi-w1"), "qi-w1", Options{})
 
-	_, err := ctl.FarmChunks(context.Background(), chaosChunks(chaosSeed, 1, 2), FarmOptions{
+	_, err := farmWithDeadline(t, context.Background(), ctl, chaosChunks(chaosSeed, 1, 2), FarmOptions{
 		Body:           func() *taskgraph.Graph { return accumBody(t) },
 		Peers:          []PeerRef{{ID: "qi-w1", Addr: w.Addr()}},
 		Quorum:         3,
@@ -392,30 +392,16 @@ func TestQuorumSplitVoteWidensAndCommits(t *testing.T) {
 	n.SetLinkFaults("sv-w2", simnet.LinkFaults{CorruptEvery: 1})
 	n.SetLinkFaults("sv-w3", simnet.LinkFaults{CorruptEvery: 2})
 
-	type outcome struct {
-		rep *FarmReport
-		err error
+	// A livelocked vote fails at the stall deadline with the goroutine dump.
+	rep, err := farmWithDeadline(t, context.Background(), ctl, chunks, FarmOptions{
+		Body:           func() *taskgraph.Graph { return accumBody(t) },
+		Peers:          peers,
+		Quorum:         3,
+		AttemptTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("split-vote farm failed: %v (report: %+v)", err, rep)
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		rep, err := ctl.FarmChunks(context.Background(), chunks, FarmOptions{
-			Body:           func() *taskgraph.Graph { return accumBody(t) },
-			Peers:          peers,
-			Quorum:         3,
-			AttemptTimeout: 10 * time.Second,
-		})
-		done <- outcome{rep, err}
-	}()
-	var res outcome
-	select {
-	case res = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("split-vote quorum farm hung (livelock regression)")
-	}
-	if res.err != nil {
-		t.Fatalf("split-vote farm failed: %v (report: %+v)", res.err, res.rep)
-	}
-	rep := res.rep
 	assertSameOutputs(t, rep.Outputs, want.Outputs)
 	if rep.PeerChunks["sv-w2"] != 0 || rep.PeerChunks["sv-w3"] != 0 {
 		t.Errorf("byzantine peer committed a chunk: %v", rep.PeerChunks)
@@ -459,36 +445,23 @@ func TestQuorumTerminalSplitFailsAndPenalizes(t *testing.T) {
 	n.SetLinkFaults("ts-w2", simnet.LinkFaults{CorruptEvery: 2})
 	n.SetLinkFaults("ts-w3", simnet.LinkFaults{CorruptEvery: 3})
 
-	type outcome struct {
-		rep *FarmReport
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rep, err := ctl.FarmChunks(context.Background(), chaosChunks(chaosSeed, 1, 6), FarmOptions{
-			Body:           func() *taskgraph.Graph { return accumBody(t) },
-			Peers:          peers,
-			Quorum:         3,
-			AttemptTimeout: 10 * time.Second,
-		})
-		done <- outcome{rep, err}
-	}()
-	var res outcome
-	select {
-	case res = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("terminal split-vote farm hung (livelock regression)")
-	}
-	if res.err == nil {
+	// A livelocked vote fails at the stall deadline with the goroutine dump.
+	rep, err := farmWithDeadline(t, context.Background(), ctl, chaosChunks(chaosSeed, 1, 6), FarmOptions{
+		Body:           func() *taskgraph.Graph { return accumBody(t) },
+		Peers:          peers,
+		Quorum:         3,
+		AttemptTimeout: 10 * time.Second,
+	})
+	if err == nil {
 		t.Fatal("three-way split committed a chunk without a majority")
 	}
 	// Exactly the two non-plurality voters are penalized, and the
 	// registry counter tracks the report.
-	if res.rep.QuorumDisagreements != 2 {
-		t.Errorf("quorum disagreements = %d, want 2", res.rep.QuorumDisagreements)
+	if rep.QuorumDisagreements != 2 {
+		t.Errorf("quorum disagreements = %d, want 2", rep.QuorumDisagreements)
 	}
-	if snap := ctl.Resilience().Snapshot(); snap.QuorumDisagreements != res.rep.QuorumDisagreements {
-		t.Errorf("registry disagreements = %d, report = %d", snap.QuorumDisagreements, res.rep.QuorumDisagreements)
+	if snap := ctl.Resilience().Snapshot(); snap.QuorumDisagreements != rep.QuorumDisagreements {
+		t.Errorf("registry disagreements = %d, report = %d", snap.QuorumDisagreements, rep.QuorumDisagreements)
 	}
 	penalized := 0
 	for _, id := range []string{"ts-w1", "ts-w2", "ts-w3"} {
