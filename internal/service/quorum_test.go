@@ -92,3 +92,71 @@ func FuzzResultDigest(f *testing.F) {
 		}
 	})
 }
+
+// TestTally: the vote tally picks the digest with the most ballots,
+// breaking ties towards the lexically smallest digest so the verdict
+// never depends on arrival order. The despatch loop commits when that
+// count reaches need, widens by one voter when it does not and a fresh
+// candidate remains, and fails otherwise; ballots off the best digest
+// take the byzantine penalty either way.
+func TestTally(t *testing.T) {
+	cases := []struct {
+		name       string
+		digests    []string
+		need       int
+		fresh      int // candidates left to widen with
+		best       string
+		votes      int
+		outcome    string
+		dissenters int
+	}{
+		{"single result", []string{""}, 1, 0, "", 1, "commit", 0},
+		{"unanimous", []string{"a", "a", "a"}, 2, 1, "a", 3, "commit", 0},
+		{"majority", []string{"b", "a", "b"}, 2, 1, "b", 2, "commit", 1},
+		{"majority arrives last", []string{"c", "b", "b"}, 2, 0, "b", 2, "commit", 1},
+		{"widened majority", []string{"x", "y", "z", "y"}, 2, 0, "y", 2, "commit", 2},
+		{"two of two", []string{"a", "a"}, 2, 0, "a", 2, "commit", 0},
+		{"split pair", []string{"b", "a"}, 2, 2, "a", 1, "widen", 1},
+		{"three-way split", []string{"c", "a", "b"}, 2, 1, "a", 1, "widen", 2},
+		{"lone ballot", []string{"a"}, 2, 1, "a", 1, "widen", 0},
+		{"terminal three-way split", []string{"c", "a", "b"}, 2, 0, "a", 1, "fail", 2},
+		{"tie below need", []string{"b", "b", "a", "a"}, 3, 0, "a", 2, "fail", 2},
+		{"no ballots", nil, 2, 0, "", 0, "fail", 0},
+	}
+	for _, tc := range cases {
+		ballots := make([]ballot, len(tc.digests))
+		for i, d := range tc.digests {
+			ballots[i].digest = d
+		}
+		best, votes := tally(ballots)
+		if best != tc.best || votes != tc.votes {
+			t.Errorf("%s: tally = (%q, %d), want (%q, %d)", tc.name, best, votes, tc.best, tc.votes)
+		}
+		outcome := "fail"
+		switch {
+		case votes >= tc.need:
+			outcome = "commit"
+		case tc.fresh > 0:
+			outcome = "widen"
+		}
+		if outcome != tc.outcome {
+			t.Errorf("%s: outcome %s, want %s", tc.name, outcome, tc.outcome)
+		}
+		dissenters := 0
+		for _, b := range ballots {
+			if b.digest != best {
+				dissenters++
+			}
+		}
+		if dissenters != tc.dissenters {
+			t.Errorf("%s: %d dissenters, want %d", tc.name, dissenters, tc.dissenters)
+		}
+		// Arrival order never changes the verdict.
+		for i, j := 0, len(ballots)-1; i < j; i, j = i+1, j-1 {
+			ballots[i], ballots[j] = ballots[j], ballots[i]
+		}
+		if rb, rv := tally(ballots); rb != best || rv != votes {
+			t.Errorf("%s: reversed tally = (%q, %d), want (%q, %d)", tc.name, rb, rv, best, votes)
+		}
+	}
+}
