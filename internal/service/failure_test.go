@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"consumergrid/internal/gateway"
 	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/policy"
 	"consumergrid/internal/simnet"
@@ -149,6 +150,65 @@ func TestCancelRemoteStopsBlockedJob(t *testing.T) {
 		t.Fatal("WaitRemote hung after cancel")
 	}
 	out.Close()
+}
+
+// TestCancelPendingJobReleasesPipes: a job cancelled while it waits in
+// its donor's resource-manager queue never runs, so the cancel must
+// release the pipes its run request bound. Otherwise the job's output
+// pipe holds its connection to the controller open: the controller's
+// input never sees end-of-stream and the controller's Close waits on
+// that connection forever. Farms hit this when an attempt is abandoned
+// right after despatch.
+func TestCancelPendingJobReleasesPipes(t *testing.T) {
+	tr := newInProc(t)
+	ctl := newService(t, tr, "pend-ctl", Options{})
+	rm, err := gateway.NewBatch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newService(t, tr, "pend-w1", Options{RM: rm})
+	t.Cleanup(func() { rm.Close() }) // runs before w closes
+	despatch := func(label string) (*RemoteJob, *jxtaserve.InputPipe) {
+		t.Helper()
+		pipe, _, err := ctl.Host().OpenInput(label, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pipe.Close)
+		pipe.ExpectEOFs(1)
+		job, err := ctl.Despatch(RemotePart{
+			Peer:       PeerRef{ID: "pend-w1", Addr: w.Addr()},
+			Body:       accumBody(t),
+			InLabels:   []string{label + "-in"},
+			OutTargets: []PipeTarget{{Label: label, Addr: ctl.Addr()}},
+			Iterations: 1,
+		}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job, pipe
+	}
+	// The first job takes the only slot and waits for input that never
+	// comes; the second queues behind it.
+	despatch("pend-busy")
+	queued, queuedPipe := despatch("pend-queued")
+	if st := rm.QueueLength(); st != 1 {
+		t.Fatalf("batch queue holds %d jobs, want the second job pending", st)
+	}
+	if err := ctl.CancelRemote(queued); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case _, ok := <-queuedPipe.C:
+			if !ok {
+				return // the cancelled job's output pipe closed
+			}
+		case <-deadline:
+			t.Fatal("a job cancelled while pending kept its output pipe open")
+		}
+	}
 }
 
 // TestDespatchToCutLinkFails exercises dial-time failure: the target peer
