@@ -162,6 +162,29 @@ func TestFloodFindsWithinTTL(t *testing.T) {
 	}
 }
 
+// TestFloodOriginIgnoresEcho: neighbours forward a flood query back to
+// its origin, which must drop the echo instead of flooding its own
+// query again with the echo's lower TTL. That re-flood could reach a
+// peer ahead of the original copy, and the dedup then dropped the copy
+// that would have gone further, so TestFloodFindsWithinTTL failed
+// intermittently.
+func TestFloodOriginIgnoresEcho(t *testing.T) {
+	tr := jxtaserve.NewInProc()
+	peers := buildFloodRing(t, tr, 6, 3)
+	// With no limit, Discover waits out its QueryTimeout, by which time
+	// every echo has arrived.
+	if _, err := peers[0].node.Discover(advert.Query{Kind: advert.KindPeer}, 0); err != nil {
+		t.Fatal(err)
+	}
+	st := peers[0].node.Stats()
+	if st.QueriesHandled.Load() == 0 {
+		t.Fatal("no echo reached the origin; the case exercised nothing")
+	}
+	if n := st.QueriesForwarded.Load(); n != 0 {
+		t.Fatalf("origin re-flooded its own query %d times", n)
+	}
+}
+
 func TestFloodTTLBoundsReach(t *testing.T) {
 	tr := jxtaserve.NewInProc()
 	peers := buildFloodRing(t, tr, 12, 2)
